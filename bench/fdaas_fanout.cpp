@@ -6,8 +6,9 @@
 // and measures end-to-end delivered events/sec — from first injection
 // until every client has decoded its full share. Two sweeps: client
 // count at a fixed shard count, then shard count at a fixed client
-// count (the API thread is the sole poll_events consumer, so shard
-// count mainly probes subscribe-path fan-in, not delivery).
+// count (injected events skip the shard event queues, which the API
+// thread drains only when a shard wakes it with a real transition, so
+// shard count mainly probes subscribe-path fan-in, not delivery).
 //
 // Knobs: FD_BENCH_FANOUT_EVENTS (events per client, default 2000),
 // FD_BENCH_FANOUT_TIMEOUT_S (per-run delivery deadline, default 30).

@@ -62,7 +62,6 @@ FdaasServer::FdaasServer(shard::ShardedMonitorService& service, Params params)
       loop_(std::make_unique<net::EventLoop>(std::uint16_t{0})),
       commands_(256) {
   TWFD_CHECK_MSG(params_.lease > 0, "lease must be positive");
-  TWFD_CHECK_MSG(params_.poll_interval > 0, "poll_interval must be positive");
   if (params_.registry != nullptr) init_obs();
 }
 
@@ -74,7 +73,8 @@ void FdaasServer::init_obs() {
   obs_event_latency_ = &r.histogram(
       "twfd_api_event_latency_seconds",
       "Shard transition to client send-queue latency.",
-      {0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0});
+      {0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
+       0.1, 0.25, 0.5, 1.0});
 }
 
 void FdaasServer::refresh_obs() {
@@ -110,6 +110,7 @@ void FdaasServer::stop() {
   stop_requested_.store(true, std::memory_order_release);
   loop_->stop();
   if (thread_.joinable()) thread_.join();
+  service_.set_event_notifier({});
   running_ = false;
   Command cmd;
   while (commands_.try_pop(cmd)) cmd = nullptr;  // waiters see broken_promise
@@ -156,10 +157,18 @@ bool FdaasServer::send_delegate(std::uint64_t child_node, DelegateMsg msg) {
 }
 
 void FdaasServer::worker_main() {
-  loop_->set_wake_handler([this] { drain_commands(); });
+  loop_->set_wake_handler([this] {
+    drain_commands();
+    drain_events();
+  });
   loop_->watch_fd(listener_.fd(), net::kFdRead,
                   [this](unsigned) { on_accept(); });
-  arm_poll_timer();
+  // Verdicts are pushed, not polled: the first transition a shard queues
+  // after a drain wakes this loop. Events queued before the hook existed
+  // (restored seeds, transitions before start()) woke nobody, so drain
+  // once now.
+  service_.set_event_notifier([this] { loop_->wake(); });
+  drain_events();
   arm_lease_timer();
   if (adapter_ != nullptr) arm_fed_flush_timer();
   if (persistence_enabled() && params_.snapshot_interval > 0) arm_snapshot_timer();
@@ -181,10 +190,15 @@ void FdaasServer::worker_main() {
   for (const auto& [sid, s] : sessions_) sids.push_back(sid);
   for (const std::uint64_t sid : sids) close_session(sid);
   loop_->unwatch_fd(listener_.fd());
-  loop_->cancel(poll_timer_);
   loop_->cancel(lease_timer_);
   if (fed_flush_timer_ != kInvalidTimer) loop_->cancel(fed_flush_timer_);
   if (snapshot_timer_ != kInvalidTimer) loop_->cancel(snapshot_timer_);
+}
+
+void FdaasServer::drain_events() {
+  service_.poll_events(
+      [this](const shard::ShardedMonitorService::StatusEvent& e) { deliver(e); });
+  refresh_obs();
 }
 
 void FdaasServer::drain_commands() {
@@ -218,17 +232,6 @@ void FdaasServer::post(Command cmd) {
   loop_->wake();
 }
 
-void FdaasServer::arm_poll_timer() {
-  poll_timer_ = loop_->schedule_at(loop_->now() + params_.poll_interval, [this] {
-    service_.poll_events(
-        [this](const shard::ShardedMonitorService::StatusEvent& e) {
-          deliver(e);
-        });
-    refresh_obs();
-    arm_poll_timer();
-  });
-}
-
 void FdaasServer::arm_fed_flush_timer() {
   // Half the adapter's flush interval: the core's own due() gate keeps
   // the actual emission cadence at flush_interval, while the finer
@@ -251,6 +254,7 @@ void FdaasServer::arm_lease_timer() {
   lease_timer_ = loop_->schedule_at(loop_->now() + period, [this] {
     expire_leases();
     sweep_orphans();
+    refresh_obs();
     arm_lease_timer();
   });
 }

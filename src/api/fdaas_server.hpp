@@ -5,11 +5,12 @@
 // That thread owns every session object and all server counters — the
 // same shard-confinement discipline as the monitoring shards — and is,
 // by construction, the sole caller of ShardedMonitorService::
-// poll_events(), draining transitions on a fixed cadence and pushing
-// them as EVENT frames to the owning sessions. Toward the shards the
-// API thread is an ordinary control-plane client (subscribe/unsubscribe
-// marshal commands and block briefly on the owning shard); no shard
-// thread ever blocks on the API thread, so event delivery can never
+// poll_events(): the service's event notifier wakes the API loop on the
+// first transition after a drain, and the wake handler pushes the drained
+// transitions as EVENT frames to the owning sessions. Toward the shards
+// the API thread is an ordinary control-plane client (subscribe/
+// unsubscribe marshal commands and block briefly on the owning shard); no
+// shard thread ever blocks on the API thread, so event delivery can never
 // stall detection. See docs/runtime.md "The FDaaS API thread".
 //
 // Sessions are defended in three ways (docs/protocol.md):
@@ -54,8 +55,6 @@ class FdaasServer {
     /// Session lease; any well-formed inbound frame renews it. A session
     /// silent for a full lease is expired and its subscriptions released.
     Tick lease = ticks_from_sec(10);
-    /// Cadence of the poll_events() drain (event push latency bound).
-    Tick poll_interval = ticks_from_ms(20);
     /// Per-session cap on unsent bytes; exceeding it evicts the session.
     std::size_t max_send_queue_bytes = 256 * 1024;
     std::size_t max_sessions = 1024;
@@ -67,8 +66,8 @@ class FdaasServer {
     int conn_sndbuf_bytes = 0;
     /// Optional obs registry: the server mirrors its Stats (and its
     /// private event loop's stats) into twfd_api_* / twfd_fed_* metrics
-    /// on every poll tick and records an event-delivery-latency
-    /// histogram. Must outlive the server.
+    /// after every event drain and lease tick, and records an
+    /// event-delivery-latency histogram. Must outlive the server.
     obs::Registry* registry = nullptr;
     /// Crash persistence (empty = disabled). start() loads this snapshot
     /// file and re-seeds every persisted subscription — verdicts primed —
@@ -235,6 +234,8 @@ class FdaasServer {
   void worker_main();
   void drain_commands();
   void post(Command cmd);
+  /// Drains the shard event queues and delivers each transition.
+  void drain_events();
   void on_accept();
   void on_session_io(std::uint64_t sid, unsigned events);
   void on_readable(std::uint64_t sid);
@@ -248,7 +249,6 @@ class FdaasServer {
   bool flush(Session& s);
   void close_session(std::uint64_t sid);
   void expire_leases();
-  void arm_poll_timer();
   void arm_lease_timer();
   void arm_fed_flush_timer();
   /// Fans one applied federated transition out to its subscribers (the
@@ -303,7 +303,6 @@ class FdaasServer {
   std::uint64_t next_session_id_ = 1;
   std::uint64_t seen_resource_failures_ = 0;
   bool accept_parked_ = false;
-  TimerId poll_timer_ = kInvalidTimer;
   TimerId lease_timer_ = kInvalidTimer;
   Stats stats_;
 

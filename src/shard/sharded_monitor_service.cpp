@@ -163,11 +163,6 @@ ShardedMonitorService::ShardedMonitorService(Params params)
     s.bind_port = reuse ? service_port_ : std::uint16_t{0};
     build_shard_runtime(s);
   }
-
-  {
-    std::lock_guard lk(view_mu_);
-    view_ = std::make_shared<const Snapshot>();
-  }
 }
 
 ShardedMonitorService::~ShardedMonitorService() { stop(); }
@@ -212,7 +207,7 @@ void ShardedMonitorService::stop() {
   }
   running_ = false;
   // Discard unexecuted commands — any waiter sees broken_promise rather
-  // than hanging — then fold remaining transitions into the snapshot.
+  // than hanging — then fold remaining transitions into the view.
   for (auto& sp : shards_) {
     Command cmd;
     while (sp->commands.try_pop(cmd)) cmd = nullptr;
@@ -368,7 +363,19 @@ void ShardedMonitorService::post(Shard& s, Command cmd) {
 void ShardedMonitorService::publish_event(Shard& s, StatusEvent event) {
   if (!s.events.try_push(std::move(event))) {
     s.events_dropped.fetch_add(1, std::memory_order_relaxed);
+    return;
   }
+  // Pairs with the exchange(false) at the top of poll_events(): a push
+  // that finds the flag already set is seen by the drain that follows.
+  if (!events_pending_.exchange(true, std::memory_order_acq_rel)) {
+    std::lock_guard lk(notifier_mu_);
+    if (event_notifier_) event_notifier_();
+  }
+}
+
+void ShardedMonitorService::set_event_notifier(std::function<void()> notifier) {
+  std::lock_guard lk(notifier_mu_);
+  event_notifier_ = std::move(notifier);
 }
 
 ShardedMonitorService::SubscriptionId ShardedMonitorService::subscribe(
@@ -391,7 +398,7 @@ ShardedMonitorService::SubscriptionId ShardedMonitorService::subscribe(
     // starts at its persisted verdict, not at Trust.
     std::lock_guard lk(agg_mu_);
     state_[gid] = {gid, app, initial.output, initial.since, idx};
-    republish_locked();
+    view_dirty_ = true;
   }
 
   auto prom =
@@ -418,7 +425,7 @@ ShardedMonitorService::SubscriptionId ShardedMonitorService::subscribe(
     // roll the seeded view entry back.
     std::lock_guard lk(agg_mu_);
     state_.erase(gid);
-    republish_locked();
+    view_dirty_ = true;
     throw;
   }
   std::lock_guard lk(control_mu_);
@@ -452,7 +459,7 @@ void ShardedMonitorService::unsubscribe(SubscriptionId id) {
   }
   std::lock_guard lk(agg_mu_);
   state_.erase(id);
-  republish_locked();
+  view_dirty_ = true;
 }
 
 std::vector<ShardedMonitorService::SubscriptionSeed>
@@ -505,35 +512,52 @@ void ShardedMonitorService::reconfigure(const net::SocketAddress& peer) {
 
 std::size_t ShardedMonitorService::poll_events(
     const std::function<void(const StatusEvent&)>& fn) {
-  std::lock_guard lk(agg_mu_);
-  std::size_t drained = 0;
-  StatusEvent e;
-  for (auto& sp : shards_) {
-    while (sp->events.try_pop(e)) {
-      ++drained;
-      ++events_seen_;
-      // Health events (subscription 0) pass through to `fn` but are not
-      // snapshot entries; verdicts update the per-subscription state.
-      const auto it = state_.find(e.subscription);
-      if (it != state_.end()) {
-        it->second.output = e.output;
-        it->second.since = e.when;
+  std::lock_guard poll_lk(poll_mu_);
+  // Reset before popping (see publish_event): an event pushed after this
+  // point either is popped below or re-arms the notifier.
+  events_pending_.exchange(false, std::memory_order_acq_rel);
+  std::vector<StatusEvent> drained;
+  {
+    std::lock_guard lk(agg_mu_);
+    StatusEvent e;
+    for (auto& sp : shards_) {
+      while (sp->events.try_pop(e)) {
+        // Health events (subscription 0) pass through to `fn` but are not
+        // snapshot entries; verdicts update the per-subscription state.
+        const auto it = state_.find(e.subscription);
+        if (it != state_.end()) {
+          it->second.output = e.output;
+          it->second.since = e.when;
+        }
+        drained.push_back(std::move(e));
       }
-      if (event_listener_) event_listener_(e);
-      if (fn) fn(e);
+    }
+    if (!drained.empty()) {
+      events_seen_ += drained.size();
+      view_dirty_ = true;
     }
   }
-  if (drained > 0) republish_locked();
-  return drained;
+  // Callbacks run outside agg_mu_: delivery may close a session, which
+  // unsubscribes and takes agg_mu_ on this same thread.
+  for (const StatusEvent& ev : drained) {
+    if (event_listener_) event_listener_(ev);
+    if (fn) fn(ev);
+  }
+  return drained.size();
 }
 
-void ShardedMonitorService::republish_locked() {
-  auto snap = std::make_shared<Snapshot>();
-  snap->entries.reserve(state_.size());
-  for (const auto& [id, entry] : state_) snap->entries.push_back(entry);
-  snap->events_seen = events_seen_;
-  std::lock_guard lk(view_mu_);
-  view_ = std::shared_ptr<const Snapshot>(std::move(snap));
+std::shared_ptr<const ShardedMonitorService::Snapshot> ShardedMonitorService::view()
+    const {
+  std::lock_guard lk(agg_mu_);
+  if (view_dirty_) {
+    auto snap = std::make_shared<Snapshot>();
+    snap->entries.reserve(state_.size());
+    for (const auto& [id, entry] : state_) snap->entries.push_back(entry);
+    snap->events_seen = events_seen_;
+    view_ = std::move(snap);
+    view_dirty_ = false;
+  }
+  return view_;
 }
 
 // --- Supervision -----------------------------------------------------------

@@ -25,9 +25,12 @@
 //      re-injected there, so decoding and detector updates stay
 //      shard-confined.
 //   3. Aggregation: Suspect/Trust transitions flow out through per-shard
-//      MPSC event queues, drained by poll_events() into an immutable
-//      global view snapshot; view() hands readers the current snapshot
-//      pointer under a short mutex.
+//      MPSC event queues. The first transition published after a drain
+//      fires the consumer's event notifier (set_event_notifier), so the
+//      consumer drains when verdicts happen rather than on a timer.
+//      poll_events() folds the drained events into the per-subscription
+//      view state and marks it dirty; view() rebuilds the immutable
+//      snapshot only when it is read while dirty.
 //
 // Self-healing (Params::supervision): each worker loop advances a
 // per-shard liveness counter once per slice; a supervisor thread watches
@@ -161,8 +164,8 @@ class ShardedMonitorService {
     std::size_t shard = 0;
   };
 
-  /// Immutable global view published by poll_events(); readers obtain
-  /// the current snapshot pointer via view().
+  /// Immutable global view, rebuilt on demand by view() from the state
+  /// that subscribe/unsubscribe/poll_events() maintain.
   struct Snapshot {
     struct Entry {
       SubscriptionId subscription = 0;
@@ -234,7 +237,7 @@ class ShardedMonitorService {
   void start();
   /// Stops the supervisor, then every shard loop; joins the workers,
   /// discards unexecuted commands (their waiters see broken_promise) and
-  /// drains remaining events into the snapshot. Idempotent. Do not race
+  /// drains remaining events into the view. Idempotent. Do not race
   /// control-plane calls against stop().
   void stop();
   [[nodiscard]] bool running() const noexcept { return running_; }
@@ -300,9 +303,11 @@ class ShardedMonitorService {
 
   // --- Aggregation ---
 
-  /// Drains every shard's event queue into the global view and publishes
-  /// a fresh snapshot; `fn` (optional) observes each event in shard-major
-  /// order. Serialized internally; returns the number of events drained.
+  /// Drains every shard's event queue into the global view state; `fn`
+  /// (optional) then observes each event in shard-major order. Calls are
+  /// serialized with each other, but the listener and `fn` run with no
+  /// service lock held, so they may call subscribe/unsubscribe/view().
+  /// Returns the number of events drained.
   std::size_t poll_events(const std::function<void(const StatusEvent&)>& fn = {});
 
   /// Standing per-event export hook, invoked from poll_events() for
@@ -315,14 +320,18 @@ class ShardedMonitorService {
     event_listener_ = std::move(listener);
   }
 
-  /// Latest published snapshot (never null after construction). Copies
-  /// the current pointer under a short mutex — held only for the copy,
-  /// never while a snapshot is being built — so the caller reads the
-  /// immutable Snapshot without further synchronisation.
-  [[nodiscard]] std::shared_ptr<const Snapshot> view() const {
-    std::lock_guard lk(view_mu_);
-    return view_;
-  }
+  /// Installs (or, with an empty function, clears) the hook a publisher
+  /// calls when it queues the first event since the last poll_events()
+  /// began. It runs on a shard or supervisor thread, so it must only
+  /// signal the consumer (e.g. EventLoop::wake()). Safe to call at any
+  /// time; events queued before the hook existed fired no notification,
+  /// so the consumer drains once after installing it.
+  void set_event_notifier(std::function<void()> notifier);
+
+  /// Current snapshot (never null). Rebuilt under the aggregation lock
+  /// only when the view changed since the last read; the service keeps
+  /// the returned snapshot alive until the next rebuild.
+  [[nodiscard]] std::shared_ptr<const Snapshot> view() const;
 
   // --- Supervision ---
 
@@ -424,7 +433,6 @@ class ShardedMonitorService {
   /// wake() under swap_mu: safe against a concurrent runtime rebuild.
   void wake_shard(Shard& s);
   void publish_event(Shard& s, StatusEvent event);
-  void republish_locked();
   [[nodiscard]] ShardStats collect_stats_on_shard(Shard& s) const;
   [[nodiscard]] ShardStats collect_supervision_stats(Shard& s) const;
 
@@ -464,19 +472,25 @@ class ShardedMonitorService {
   std::condition_variable sup_cv_;
   bool sup_stop_ = false;
 
-  // Aggregation state: agg_mu_ serializes the single logical consumer of
-  // the per-shard event queues; view_mu_ guards only the published
-  // pointer and is held for a pointer copy, never while building a
-  // snapshot. (std::atomic<std::shared_ptr> would make readers wait-free,
-  // but libstdc++'s _Sp_atomic releases its embedded spin-lock with
-  // relaxed ordering, which ThreadSanitizer cannot model — concurrent
-  // load/store would report a false race.)
-  std::mutex agg_mu_;
+  // Aggregation state. poll_mu_ serializes the single logical consumer
+  // of the per-shard event queues; it is held while the listener and
+  // callbacks run. agg_mu_ guards the per-subscription view state and the
+  // cached snapshot, and is never held while foreign code runs.
+  std::mutex poll_mu_;
+  std::function<void(const StatusEvent&)> event_listener_;
+  mutable std::mutex agg_mu_;
   std::map<SubscriptionId, Snapshot::Entry> state_;
   std::uint64_t events_seen_ = 0;
-  std::function<void(const StatusEvent&)> event_listener_;
-  mutable std::mutex view_mu_;
-  std::shared_ptr<const Snapshot> view_;
+  mutable bool view_dirty_ = false;
+  mutable std::shared_ptr<const Snapshot> view_ = std::make_shared<const Snapshot>();
+
+  // Wake-on-first-event: set by the publisher that queues an event, reset
+  // by poll_events() before it drains; only the publisher that flips it
+  // from false calls the notifier. notifier_mu_ lets the hook be swapped
+  // while shards publish.
+  std::atomic<bool> events_pending_{false};
+  std::mutex notifier_mu_;
+  std::function<void()> event_notifier_;
 };
 
 }  // namespace twfd::shard

@@ -18,7 +18,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
+#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -198,7 +201,7 @@ TEST(FdaasServer, TwoClientsDifferentQosDetectCrashAndRecovery) {
       << "both subscribers must be told about the crash";
 
   // Wall-clock detection bound per application: T_D^U plus scheduler
-  // slack (heartbeat cadence + poll cadence + CI/TSan stalls).
+  // slack (heartbeat cadence + CI/TSan stalls).
   const double kSlackS = 2.0;
   const double a_detect_s = static_cast<double>(a.suspect_at_ns() - crash_ns) / 1e9;
   const double b_detect_s = static_cast<double>(b.suspect_at_ns() - crash_ns) / 1e9;
@@ -408,6 +411,123 @@ TEST(FdaasServer, SlowClientIsEvictedWithoutHurtingHealthyOne) {
 
   stop.store(true, std::memory_order_release);
   healthy_thread.join();
+  server.stop();
+  service.stop();
+}
+
+// A transition queued before the server started woke nobody and leaves
+// the service's pending flag set; the server's start-up drain must clear
+// it, or no later transition would ever wake the API thread.
+TEST(FdaasServer, TransitionQueuedBeforeStartDoesNotBlockDelivery) {
+  ShardedMonitorService service({.shards = 1});
+  service.start();
+  // A silent peer subscribed straight on the service: its Suspect is
+  // queued with no consumer around.
+  service.subscribe(net::SocketAddress::loopback(45600), 1, "direct", {0.8, 1e-3, 4.0});
+  std::this_thread::sleep_for(std::chrono::milliseconds(2000));
+
+  api::FdaasServer server(service, {});
+  server.start();
+  std::atomic<bool> suspected{false};
+  std::atomic<bool> stop{false};
+  std::thread client_thread([&] {
+    api::Client client(net::SocketAddress::loopback(server.port()));
+    client.set_event_handler([&](const api::EventMsg& e) {
+      if (e.output == detect::Output::Suspect) {
+        suspected.store(true, std::memory_order_release);
+      }
+    });
+    client.subscribe(net::SocketAddress::loopback(45601), 2, "client", {0.8, 1e-3, 4.0});
+    while (!stop.load(std::memory_order_acquire)) {
+      if (!client.pump_for(ticks_from_ms(20))) return;
+    }
+  });
+  EXPECT_TRUE(wait_until([&] { return suspected.load(std::memory_order_acquire); },
+                         std::chrono::milliseconds(5000)))
+      << "the client's Suspect never reached it";
+  stop.store(true, std::memory_order_release);
+  client_thread.join();
+  server.stop();
+  service.stop();
+}
+
+/// server.stats() with a deadline. A wedged API thread never answers and
+/// can never be joined, so the test reports the failure and exits the
+/// process instead of hanging the suite.
+api::FdaasServer::Stats stats_within(api::FdaasServer& server,
+                                std::chrono::milliseconds deadline) {
+  auto answer = std::async(std::launch::async, [&server] { return server.stats(); });
+  if (answer.wait_for(deadline) != std::future_status::ready) {
+    ADD_FAILURE() << "server.stats() did not answer within " << deadline.count()
+                  << " ms: the API thread is wedged";
+    std::fflush(stdout);
+    std::_Exit(1);
+  }
+  return answer.get();
+}
+
+// Eviction inside event delivery: a slow client is closed while the API
+// thread is delivering real shard transitions to it, which releases its
+// subscriptions from within the drain. The API thread must keep serving.
+TEST(FdaasServer, EvictionDuringDeliveryKeepsApiThreadServing) {
+  ShardedMonitorService service({.shards = 2});
+  service.start();
+  api::FdaasServer::Params params;
+  params.max_send_queue_bytes = 512;
+  params.conn_sndbuf_bytes = 4096;
+  api::FdaasServer server(service, params);
+  server.start();
+
+  auto slow = net::TcpConn::connect(net::SocketAddress::loopback(server.port()),
+                                    ticks_from_sec(5));
+  ASSERT_TRUE(slow.has_value());
+  slow->set_recv_buffer(4096);
+  // Silent peers (nothing ever beats from these ports): every subscription
+  // turns Suspect about T_D^U after it was made. One request in flight at
+  // a time, so the acks never back up; events that overtake an ack are
+  // read and skipped.
+  constexpr std::size_t kPeers = 100;
+  constexpr std::size_t kAppsPerPeer = 10;
+  api::FrameAssembler slow_rx;
+  std::uint64_t request = 0;
+  for (std::size_t p = 0; p < kPeers; ++p) {
+    for (std::size_t a = 0; a < kAppsPerPeer; ++a) {
+      raw_send(*slow, api::encode_frame(api::SubscribeRequest{
+                          ++request,
+                          net::SocketAddress::loopback(
+                              static_cast<std::uint16_t>(45300 + p)),
+                          p + 1, "app" + std::to_string(a), {2.0, 1e-3, 4.0}}));
+      std::optional<api::ControlMessage> reply;
+      do {
+        reply = raw_read_frame(*slow, slow_rx, std::chrono::milliseconds(5000));
+        ASSERT_TRUE(reply.has_value());
+      } while (std::holds_alternative<api::EventMsg>(*reply));
+      ASSERT_TRUE(std::holds_alternative<api::SubscribeOk>(*reply));
+    }
+  }
+  // From here on the slow client never reads: its Suspect events fill the
+  // socket buffers, then the send-queue cap evicts it mid-delivery.
+
+  bool evicted = false;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(15);
+  while (!evicted && std::chrono::steady_clock::now() < deadline) {
+    evicted = stats_within(server, std::chrono::milliseconds(2000)).slow_evictions >= 1;
+    if (!evicted) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  ASSERT_TRUE(evicted) << "the slow client was never evicted";
+
+  const auto stats = stats_within(server, std::chrono::milliseconds(2000));
+  EXPECT_GE(stats.slow_evictions, 1u);
+  EXPECT_EQ(stats.sessions_active, 0u);
+  EXPECT_EQ(stats.subscriptions_active, 0u);
+
+  // The API thread still serves new sessions.
+  api::Client second(net::SocketAddress::loopback(server.port()));
+  EXPECT_NE(second.subscribe(net::SocketAddress::loopback(45400), 99, "second",
+                             {4.0, 1e-3, 4.0}),
+            0u);
+  EXPECT_EQ(stats_within(server, std::chrono::milliseconds(2000)).sessions_active, 1u);
+
   server.stop();
   service.stop();
 }

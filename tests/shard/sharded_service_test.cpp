@@ -167,6 +167,93 @@ TEST(ShardedService, UnsubscribeRemovesEntryFromView) {
   svc.stop();
 }
 
+bool wait_until(const std::function<bool()>& pred, std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return true;
+}
+
+/// Subscribes `count` silent peers (nothing ever beats from their ports):
+/// each subscription turns Suspect about T_D^U after it was made.
+std::set<ShardedMonitorService::SubscriptionId> subscribe_silent(
+    ShardedMonitorService& svc, std::uint16_t first_port, std::uint16_t count) {
+  std::set<ShardedMonitorService::SubscriptionId> ids;
+  for (std::uint16_t i = 0; i < count; ++i) {
+    const auto peer = net::SocketAddress::loopback(static_cast<std::uint16_t>(first_port + i));
+    ids.insert(svc.subscribe(peer, i + 1, "silent" + std::to_string(i), kQos));
+  }
+  return ids;
+}
+
+/// Drains once; returns the subscriptions whose Suspect it delivered.
+std::set<ShardedMonitorService::SubscriptionId> drain_suspects(ShardedMonitorService& svc) {
+  std::set<ShardedMonitorService::SubscriptionId> out;
+  svc.poll_events([&](const ShardedMonitorService::StatusEvent& e) {
+    if (e.output == detect::Output::Suspect) out.insert(e.subscription);
+  });
+  return out;
+}
+
+// The wake-on-first-event hook: one notification per drain cycle, no
+// matter how many transitions queue behind the first, and the drain that
+// follows hands over all of them.
+TEST(ShardedService, EventNotifierFiresOncePerDrain) {
+  std::atomic<int> notified{0};  // outlives the service and its hook
+  ShardedMonitorService svc({.shards = 2});
+  svc.start();
+  svc.set_event_notifier([&] { notified.fetch_add(1, std::memory_order_relaxed); });
+
+  const auto ids = subscribe_silent(svc, 45500, 8);
+  ASSERT_TRUE(wait_until([&] { return notified.load() >= 1; },
+                         std::chrono::milliseconds(5000)))
+      << "a real transition must fire the notifier";
+  // The other seven Suspects queue behind the first; none of them may
+  // notify again before a drain.
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  EXPECT_EQ(notified.load(), 1);
+  EXPECT_EQ(drain_suspects(svc), ids);
+  EXPECT_EQ(svc.view()->events_seen, ids.size());
+
+  // A later transition, after the drain, notifies again.
+  const auto more = subscribe_silent(svc, 45510, 1);
+  ASSERT_TRUE(wait_until([&] { return notified.load() >= 2; },
+                         std::chrono::milliseconds(5000)));
+  EXPECT_EQ(drain_suspects(svc), more);
+  EXPECT_EQ(notified.load(), 2);
+  svc.set_event_notifier({});
+  svc.stop();
+}
+
+// Events queued while no notifier is installed leave the pending flag set,
+// so a notifier installed afterwards is not called for them: its owner
+// must drain once after installing it, and is notified normally from then.
+TEST(ShardedService, NotifierInstalledLateIsCoveredByInitialDrain) {
+  std::atomic<int> notified{0};  // outlives the service and its hook
+  ShardedMonitorService svc({.shards = 2});
+  svc.start();
+  const auto early = subscribe_silent(svc, 45520, 4);
+  // No notifier and no drain: the Suspects pile up with the flag set.
+  std::this_thread::sleep_for(std::chrono::milliseconds(2500));
+
+  svc.set_event_notifier([&] { notified.fetch_add(1, std::memory_order_relaxed); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(notified.load(), 0) << "the flag was already set: nobody is woken";
+
+  // The owner's initial drain picks up everything queued before the hook.
+  EXPECT_EQ(drain_suspects(svc), early);
+
+  const auto later = subscribe_silent(svc, 45530, 1);
+  ASSERT_TRUE(wait_until([&] { return notified.load() >= 1; },
+                         std::chrono::milliseconds(5000)))
+      << "after the initial drain the hook must fire on the next transition";
+  EXPECT_EQ(drain_suspects(svc), later);
+  svc.set_event_notifier({});
+  svc.stop();
+}
+
 // The tentpole end-to-end: single-socket mode forces every datagram
 // through shard 0, so detection working at all for peers owned by shards
 // 1..3 proves the hash hand-off + re-injection path.
